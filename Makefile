@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck govulncheck bench bench-smoke bench-compare serve-smoke fastpath-smoke watch-smoke chaos repl-smoke chaos-partition chaos-failover experiments
+.PHONY: build test race vet perfbench-test staticcheck govulncheck bench bench-smoke bench-compare serve-smoke fastpath-smoke watch-smoke chaos repl-smoke chaos-partition chaos-failover experiments
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+## perfbench-test: vet and test the system benchmark. perfbench/ is a Go
+## module of its own that imports this module's internal packages, so the
+## root `go test ./...` never builds it; this target catches a refactor that
+## breaks it.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 ## staticcheck: deeper static analysis than vet. Needs the staticcheck
 ## binary on PATH (CI installs it with `go install

@@ -447,79 +447,28 @@ func (w *SegmentedWAL) repairLocked() error {
 
 // Append encodes batch as the next record, writes and fsyncs it, and
 // returns the record's index — the same contract as WAL.Append, plus
-// segment rolling. On error the log is positionally unchanged: the record
-// is not counted, and torn bytes are truncated away before the next write
-// (or by Probe), so a failed append can never corrupt a later good one.
+// segment rolling. It is AppendRecords with one untagged record.
 func (w *SegmentedWAL) Append(batch []graph.Update) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fmt.Errorf("wal: closed")
-	}
-	if w.active == nil || (w.good >= w.opt.SegmentBytes && w.good > w.hdrLen) {
-		if err := w.roll(); err != nil {
-			return 0, err
-		}
-	}
-	if w.dirty {
-		if err := w.repairLocked(); err != nil {
-			return 0, err
-		}
-	}
-	payload := encodeBatch(batch)
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:8], w.next)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
-	if n, err := w.active.Write(hdr); err != nil {
-		w.size += int64(n)
-		w.dirty = true
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if n, err := w.active.Write(payload); err != nil {
-		w.size += 16 + int64(n)
-		w.dirty = true
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	w.size += 16 + int64(len(payload))
-	if err := w.active.Sync(); err != nil {
-		// The record's durability is unknown; treat it as not appended and
-		// truncate it on the next write.
-		w.dirty = true
-		return 0, fmt.Errorf("wal: sync: %w", err)
-	}
-	w.good = w.size
-	idx := w.next
-	w.next++
-	return idx, nil
+	return w.AppendRecords([]Record{{Batch: batch}})
 }
 
-// AppendGroup encodes every batch as its own consecutive record — on disk
-// and over replication indistinguishable from len(batches) Append calls —
-// but pays ONE write and ONE fsync for the whole group. This is the
-// per-update fast path's group commit (DESIGN.md §14): each update stays an
-// individually addressable stream position, while the fsync cost amortizes
-// across the group. It returns the first record's index; the group occupies
-// [first, first+len(batches)).
+// AppendRecords encodes every record as its own consecutive record — its
+// batch AND session tag (SID/Seq), so exactly-once tags and a follower's
+// inherited tags reach disk byte-identical to the wire — and pays ONE write
+// and ONE fsync for the whole slice. A multi-record call is the per-update
+// fast path's group commit (DESIGN.md §14): each update stays an
+// individually addressable stream position, on disk and over replication
+// indistinguishable from a sequence of single-record calls, while the fsync
+// cost amortizes across the group. Record indices are assigned by the log
+// (rec.Index inputs are ignored); it returns the first record's index, and
+// the records occupy [first, first+len(recs)).
 //
-// Atomicity matches Append: on any error no record of the group is counted,
-// and torn bytes are truncated away before the next write, so a failed
-// group can never corrupt a later good one. The group is deliberately not
-// split across a segment roll — the roll decision is taken once, before the
-// group — which keeps a group's records contiguous in one segment (segments
-// may overshoot SegmentBytes by up to one group, same as one large record).
-func (w *SegmentedWAL) AppendGroup(batches [][]graph.Update) (uint64, error) {
-	recs := make([]Record, len(batches))
-	for i, b := range batches {
-		recs[i] = Record{Batch: b}
-	}
-	return w.AppendRecords(recs)
-}
-
-// AppendRecords is AppendGroup over full records: each record's batch AND
-// session tag (SID/Seq) are encoded, so the fast path's exactly-once tags
-// and a follower's inherited tags reach disk byte-identical to the wire.
-// Record indices are assigned by the log (rec.Index inputs are ignored).
+// On any error the log is positionally unchanged: no record of the call is
+// counted, and torn bytes are truncated away before the next write (or by
+// Probe), so a failed append can never corrupt a later good one. The records
+// are deliberately not split across a segment roll — the roll decision is
+// taken once, before the write — which keeps them contiguous in one segment
+// (segments may overshoot SegmentBytes by up to one call's records).
 func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -553,11 +502,11 @@ func (w *SegmentedWAL) AppendRecords(recs []Record) (uint64, error) {
 	if n, err := w.active.Write(buf); err != nil {
 		w.size += int64(n)
 		w.dirty = true
-		return 0, fmt.Errorf("wal: append group: %w", err)
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += int64(len(buf))
 	if err := w.active.Sync(); err != nil {
-		// Durability of the whole group is unknown; treat it as not appended
+		// Durability of every record is unknown; treat them as not appended
 		// and truncate it on the next write.
 		w.dirty = true
 		return 0, fmt.Errorf("wal: sync: %w", err)

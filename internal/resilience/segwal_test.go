@@ -329,8 +329,8 @@ func TestSegWALFaultInjectedAppendRepairs(t *testing.T) {
 	}
 	appendN(t, w, 0, 1)
 
-	// The next append's ops are Write(hdr), Write(payload), Sync: let the
-	// header through, kill the payload — a torn record on disk.
+	// The next append's ops are Write(record), Sync: let the bytes through,
+	// kill the fsync — a record on disk that the log never counted.
 	injected := errors.New("injected EIO")
 	ffs.FailAfterWrites(1, injected)
 	if _, err := w.Append(segBatch(1)); err == nil {
@@ -512,18 +512,19 @@ func TestSegWALReadFrom(t *testing.T) {
 	}
 }
 
-// groupOf builds a group of n one-update batches encoding indices from..from+n-1.
-func groupOf(from, n int) [][]graph.Update {
-	out := make([][]graph.Update, 0, n)
+// groupOf builds a group of n one-update records encoding indices from..from+n-1.
+func groupOf(from, n int) []Record {
+	out := make([]Record, 0, n)
 	for i := from; i < from+n; i++ {
-		out = append(out, segBatch(i))
+		out = append(out, Record{Batch: segBatch(i)})
 	}
 	return out
 }
 
-// AppendGroup must be on-disk indistinguishable from the same sequence of
-// Append calls — consecutive indices, replayable, interleavable with single
-// appends, tailable with ReadFrom — while paying one write+fsync per group.
+// A multi-record AppendRecords must be on-disk indistinguishable from the
+// same sequence of Append calls — consecutive indices, replayable,
+// interleavable with single appends, tailable with ReadFrom — while paying
+// one write+fsync per group.
 func TestSegWALAppendGroup(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	w, err := OpenSegmentedWAL(dir, tinySegOpts())
@@ -531,7 +532,7 @@ func TestSegWALAppendGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 0, 1) // single append first: groups continue its index space
-	first, err := w.AppendGroup(groupOf(1, 5))
+	first, err := w.AppendRecords(groupOf(1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +545,7 @@ func TestSegWALAppendGroup(t *testing.T) {
 	appendN(t, w, 6, 1) // and single appends continue after a group
 
 	// Empty group: positionally a no-op.
-	if first, err = w.AppendGroup(nil); err != nil || first != 7 {
+	if first, err = w.AppendRecords(nil); err != nil || first != 7 {
 		t.Fatalf("empty group: first=%d err=%v", first, err)
 	}
 
@@ -584,14 +585,14 @@ func TestSegWALAppendGroupFaultAtomicity(t *testing.T) {
 	appendN(t, w, 0, 2)
 
 	ffs.FailWrites(errors.New("injected EIO"))
-	if _, err := w.AppendGroup(groupOf(2, 4)); err == nil {
+	if _, err := w.AppendRecords(groupOf(2, 4)); err == nil {
 		t.Fatal("group append under injection succeeded")
 	}
 	if got := w.NextIndex(); got != 2 {
 		t.Fatalf("NextIndex after failed group = %d, want 2", got)
 	}
 	ffs.Heal()
-	first, err := w.AppendGroup(groupOf(2, 4))
+	first, err := w.AppendRecords(groupOf(2, 4))
 	if err != nil {
 		t.Fatalf("group retry after heal: %v", err)
 	}

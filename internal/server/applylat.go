@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Engine-side apply-latency tracking. Every committed batch records how long
-// the shard engines took to apply it (pool.ApplyBatch only — sanitize, WAL
-// fsync and watch publication are excluded), keyed by the batch's size
-// bucket. Small trickle batches and full-size cuts stress completely
+// Engine-side apply-latency tracking. Every commit step records how long
+// the shard engines took to apply its updates (pool.ApplyBatch or
+// pool.ApplyUpdates only — sanitize, WAL fsync and watch publication are
+// excluded), keyed by the commit's size bucket. Small trickle batches and full-size cuts stress completely
 // different parts of the kernel (per-update repair vs bucketed propagation),
 // so one merged distribution would hide regressions in either; the split
 // lets loadgen and operators see both (/healthz "apply_latency").
@@ -44,9 +44,9 @@ type applyLatBucket struct {
 	next  int // ring write position once len(ring) == applyLatRing
 }
 
-// applyLatRecorder is the concurrency-safe recorder. All three apply paths
-// (batcher, WAL replay, follower tail) record through it; the per-batch
-// mutex is noise next to an engine apply.
+// applyLatRecorder is the concurrency-safe recorder. The commit step records
+// through it for every source (JSON cut, binary group, follower tail, WAL
+// replay); the per-commit mutex is noise next to an engine apply.
 type applyLatRecorder struct {
 	mu      sync.Mutex
 	buckets [applyLatBuckets]applyLatBucket

@@ -40,8 +40,9 @@ func TestApplyLatRecorder(t *testing.T) {
 }
 
 // End to end: applied batches must surface engine apply-latency percentiles
-// in /healthz, split by batch size — and a server running with intra-query
-// parallel propagation must serve the same answers as a serial one.
+// in /healthz, split by batch size, whichever protocol brought them in — and
+// a server running with intra-query parallel propagation must serve the same
+// answers as a serial one.
 func TestApplyLatencyHealthzAndParallelConfig(t *testing.T) {
 	w := testWorkload(t)
 	cfgSerial := testServerConfig()
@@ -108,5 +109,31 @@ func TestApplyLatencyHealthzAndParallelConfig(t *testing.T) {
 	}
 	if total != hz.Batches {
 		t.Fatalf("apply-latency counts %d != applied batches %d", total, hz.Batches)
+	}
+
+	// Binary-only ingest commits through the same step, so it must feed the
+	// same report.
+	wB := testWorkload(t)
+	srvB, err := New(wB.Initial(), testAlgo(t), testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Drain()
+	tsB := httptest.NewServer(srvB.Handler())
+	defer tsB.Close()
+	bc, closeBin := dialBinary(t, srvB)
+	defer closeBin()
+	for i := 0; i < 3; i++ {
+		if ack := bc.roundTrip(wB.NextBatch()); ack.Status != BinStatusOK {
+			t.Fatalf("binary frame %d: status %d", i, ack.Status)
+		}
+	}
+	var hzB healthzResponse
+	getJSON(t, tsB.Client(), tsB.URL+"/healthz", &hzB)
+	if hzB.Batches == 0 {
+		t.Fatal("binary ingest applied nothing")
+	}
+	if len(hzB.ApplyLatency) == 0 {
+		t.Fatal("healthz apply_latency empty after binary-only ingest")
 	}
 }

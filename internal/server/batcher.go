@@ -45,13 +45,13 @@ func (r CutReason) String() string {
 	}
 }
 
-// Batcher is the server-side ingestion pipeline: concurrent producers Offer
-// updates into a bounded queue; a gather goroutine cuts time-or-size-bounded
-// batches from it (the paper's batch-gathering window); an applier goroutine
-// runs the apply callback one batch at a time.
+// Batcher is the server-side ingestion window: concurrent producers Offer
+// updates into a bounded queue, and a gather goroutine cuts time-or-size-
+// bounded batches from it (the paper's batch-gathering window) into a
+// capacity-1 hand-off that the server's committer consumes (commit.go).
 //
-// The two goroutines preserve the paper's delayed-work overlap: while the
-// applier is inside apply() — which for CISO-family engines includes the
+// The hand-off preserves the paper's delayed-work overlap: while the
+// committer is applying batch N — which for CISO-family engines includes the
 // delayed deletions processed after the early answer — the gather loop keeps
 // accumulating and can cut the *next* batch, so gathering batch N+1 overlaps
 // the tail of batch N exactly as the accelerator overlaps delayed updates
@@ -63,7 +63,6 @@ type Batcher struct {
 	maxWait time.Duration
 	cap     int
 	policy  OverflowPolicy
-	apply   func(batch []graph.Update, reason CutReason)
 
 	mu       sync.Mutex
 	pending  []graph.Update
@@ -71,10 +70,14 @@ type Batcher struct {
 
 	notify  chan struct{} // capacity 1: "pending changed"
 	drainCh chan struct{} // closed once when Drain begins
-	applyCh chan cutBatch // capacity 1: the single in-flight hand-off
-	done    chan struct{} // closed when the applier exits
+	// cuts is the single in-flight hand-off (capacity 1). The consumer calls
+	// release once per batch it has fully applied; the gather loop closes
+	// cuts (and gathered) after the drain flush.
+	cuts     chan cutBatch
+	gathered chan struct{}
+	released chan struct{} // capacity 1: "outstanding reached zero"
 
-	outstanding atomic.Int64 // batches cut but not yet fully applied
+	outstanding atomic.Int64 // batches cut but not yet released
 	drainOnce   sync.Once
 }
 
@@ -83,23 +86,21 @@ type cutBatch struct {
 	reason CutReason
 }
 
-// NewBatcher starts the gather and apply goroutines. apply is called from a
-// single goroutine, one batch at a time, in cut order.
-func NewBatcher(maxSize int, maxWait time.Duration, capacity int, policy OverflowPolicy,
-	apply func(batch []graph.Update, reason CutReason)) *Batcher {
+// NewBatcher starts the gather goroutine. Cut batches arrive on b.cuts in
+// cut order; exactly one consumer must receive them and release each.
+func NewBatcher(maxSize int, maxWait time.Duration, capacity int, policy OverflowPolicy) *Batcher {
 	b := &Batcher{
-		maxSize: maxSize,
-		maxWait: maxWait,
-		cap:     capacity,
-		policy:  policy,
-		apply:   apply,
-		notify:  make(chan struct{}, 1),
-		drainCh: make(chan struct{}),
-		applyCh: make(chan cutBatch, 1),
-		done:    make(chan struct{}),
+		maxSize:  maxSize,
+		maxWait:  maxWait,
+		cap:      capacity,
+		policy:   policy,
+		notify:   make(chan struct{}, 1),
+		drainCh:  make(chan struct{}),
+		cuts:     make(chan cutBatch, 1),
+		gathered: make(chan struct{}),
+		released: make(chan struct{}, 1),
 	}
 	go b.gatherLoop()
-	go b.applyLoop()
 	return b
 }
 
@@ -161,8 +162,19 @@ func (b *Batcher) Quiesced() bool {
 	return n == 0 && b.outstanding.Load() == 0
 }
 
-// Drain stops accepting updates, flushes the remaining window through the
-// apply callback, and returns when the applier has finished. Idempotent.
+// release marks one received batch as fully applied.
+func (b *Batcher) release() {
+	if b.outstanding.Add(-1) == 0 {
+		select {
+		case b.released <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Drain stops accepting updates, flushes the remaining window into the
+// hand-off, and returns once the consumer has released every cut batch.
+// Idempotent.
 func (b *Batcher) Drain() {
 	b.drainOnce.Do(func() {
 		b.mu.Lock()
@@ -170,7 +182,10 @@ func (b *Batcher) Drain() {
 		b.mu.Unlock()
 		close(b.drainCh)
 	})
-	<-b.done
+	<-b.gathered
+	for b.outstanding.Load() != 0 {
+		<-b.released
+	}
 }
 
 // take cuts the next batch under the window rules: a full window always
@@ -203,7 +218,8 @@ func (b *Batcher) take(force bool) (batch []graph.Update, reason CutReason) {
 // immediately, arms the window timer whenever a partial window exists, and
 // flushes everything on drain before closing the hand-off channel.
 func (b *Batcher) gatherLoop() {
-	defer close(b.applyCh)
+	defer close(b.gathered)
+	defer close(b.cuts)
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	stopTimer := func() {
@@ -221,7 +237,7 @@ func (b *Batcher) gatherLoop() {
 				break
 			}
 			stopTimer() // a cut closes the current window
-			b.applyCh <- cutBatch{batch, reason}
+			b.cuts <- cutBatch{batch, reason}
 		}
 		b.mu.Lock()
 		n, draining := len(b.pending), b.draining
@@ -239,19 +255,10 @@ func (b *Batcher) gatherLoop() {
 		case <-timerC:
 			timerC = nil
 			if batch, reason := b.take(true); batch != nil {
-				b.applyCh <- cutBatch{batch, reason}
+				b.cuts <- cutBatch{batch, reason}
 			}
 		case <-b.drainCh:
 			// Loop around: draining take() cuts the remainder.
 		}
-	}
-}
-
-// applyLoop is the single writer: one batch at a time, in cut order.
-func (b *Batcher) applyLoop() {
-	defer close(b.done)
-	for cb := range b.applyCh {
-		b.apply(cb.batch, cb.reason)
-		b.outstanding.Add(-1)
 	}
 }

@@ -36,6 +36,18 @@ func (c *collector) apply(batch []graph.Update, reason CutReason) {
 	c.mu.Unlock()
 }
 
+// consume runs c as b's single consumer — the role the server's committer
+// plays: receive each cut from the hand-off, apply it, release it.
+func (c *collector) consume(b *Batcher) *Batcher {
+	go func() {
+		for cb := range b.cuts {
+			c.apply(cb.batch, cb.reason)
+			b.release()
+		}
+	}()
+	return b
+}
+
 func (c *collector) snapshot() ([][]graph.Update, []CutReason) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -64,7 +76,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // A full window must cut immediately by size, without waiting for the timer.
 func TestBatcherCutBySize(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(8, time.Hour, 1024, OverflowReject, c.apply)
+	b := c.consume(NewBatcher(8, time.Hour, 1024, OverflowReject))
 	defer b.Drain()
 
 	if _, _, err := b.Offer(ups(20, 0)); err != nil {
@@ -95,7 +107,7 @@ func TestBatcherCutBySize(t *testing.T) {
 // A partial window must cut when the wait timer fires.
 func TestBatcherCutByTimer(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(1000, 20*time.Millisecond, 1024, OverflowReject, c.apply)
+	b := c.consume(NewBatcher(1000, 20*time.Millisecond, 1024, OverflowReject))
 	defer b.Drain()
 
 	if _, _, err := b.Offer(ups(5, 0)); err != nil {
@@ -118,7 +130,7 @@ func TestBatcherCutByTimer(t *testing.T) {
 func TestBatcherOverlapAcrossBatches(t *testing.T) {
 	c := newCollector()
 	c.block = make(chan struct{})
-	b := NewBatcher(4, time.Hour, 1024, OverflowReject, c.apply)
+	b := c.consume(NewBatcher(4, time.Hour, 1024, OverflowReject))
 	defer b.Drain()
 
 	// Batch 1 cuts by size and parks inside apply.
@@ -162,7 +174,7 @@ func TestBatcherRejectWhenFull(t *testing.T) {
 	c := newCollector()
 	c.block = make(chan struct{})
 	defer close(c.block)
-	b := NewBatcher(4, time.Hour, 8, OverflowReject, c.apply)
+	b := c.consume(NewBatcher(4, time.Hour, 8, OverflowReject))
 
 	if _, _, err := b.Offer(ups(8, 0)); err != nil {
 		t.Fatal(err)
@@ -184,7 +196,7 @@ func TestBatcherShedOldest(t *testing.T) {
 	c.block = make(chan struct{})
 	defer close(c.block)
 	// maxSize > cap so nothing cuts by size; timer never fires.
-	b := NewBatcher(100, time.Hour, 8, OverflowShed, c.apply)
+	b := c.consume(NewBatcher(100, time.Hour, 8, OverflowShed))
 
 	if _, _, err := b.Offer(ups(8, 0)); err != nil {
 		t.Fatal(err)
@@ -200,7 +212,7 @@ func TestBatcherShedOldest(t *testing.T) {
 
 func TestBatcherDrainFlushesAndRejects(t *testing.T) {
 	c := newCollector()
-	b := NewBatcher(1000, time.Hour, 1024, OverflowReject, c.apply)
+	b := c.consume(NewBatcher(1000, time.Hour, 1024, OverflowReject))
 
 	if _, _, err := b.Offer(ups(7, 0)); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,9 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 // fills every unset field with the documented default.
 type Config struct {
 	// BatchMaxSize cuts a batch as soon as this many updates are gathered
-	// (the paper's assigned ingestion threshold, §II-A). Default 512.
+	// (the paper's assigned ingestion threshold, §II-A), and bounds how many
+	// updates the committer gathers into one binary group commit (one WAL
+	// fsync; a lone update still commits immediately). Default 512.
 	BatchMaxSize int
 	// BatchMaxWait cuts a non-empty batch after this long even if the size
 	// threshold was not reached, bounding staleness under a trickle of
@@ -182,16 +184,6 @@ type Config struct {
 	// ReplSeed seeds the follower's backoff jitter so chaos runs reproduce
 	// (default 1).
 	ReplSeed int64
-	// FastGroupMax bounds how many updates the per-update fast path gathers
-	// into one group commit (one WAL fsync); default 512. A lone update
-	// still commits immediately — the bound only caps burst amortization.
-	FastGroupMax int
-	// FastPendingFrames bounds the fast path's admission queue, in frames;
-	// a full queue blocks binary readers (TCP backpressure). Default 1024.
-	FastPendingFrames int
-	// FastPipelineDepth bounds unacked frames per binary connection (the
-	// per-connection ack queue). Default 256.
-	FastPipelineDepth int
 	// PropagateWorkers is each shard engine's intra-query relax-worker
 	// budget (core.WithPropagateWorkers, DESIGN.md §16): cold starts drain
 	// with the full budget, and each batch splits it across the queries
@@ -269,15 +261,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ReplSeed == 0 {
 		c.ReplSeed = 1
-	}
-	if c.FastGroupMax <= 0 {
-		c.FastGroupMax = 512
-	}
-	if c.FastPendingFrames <= 0 {
-		c.FastPendingFrames = 1024
-	}
-	if c.FastPipelineDepth <= 0 {
-		c.FastPipelineDepth = 256
 	}
 	if c.PromoteAfter <= 0 {
 		c.PromoteAfter = 2 * time.Second

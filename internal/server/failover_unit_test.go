@@ -2,14 +2,20 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cisgraph/internal/core"
 	"cisgraph/internal/graph"
+	"cisgraph/internal/resilience"
 )
 
 func TestDedupTableExactlyOnce(t *testing.T) {
@@ -158,5 +164,118 @@ func TestLeaderDemotesOnHigherEpoch(t *testing.T) {
 	srv.onPeerEpoch(3)
 	if srv.Role() != "follower" {
 		t.Fatalf("role %q after stale peer epoch, want follower", srv.Role())
+	}
+}
+
+// Promote must write its checkpoint before the role flips: writes are
+// admitted the moment the node is a leader, and under -race a checkpoint
+// read of the shadow that is not ordered before their commits is reported.
+// Writers hammer the promotable follower's /v1/updates throughout the
+// promotion; every write after the flip must commit on the new leader.
+func TestPromoteUnderConcurrentWrites(t *testing.T) {
+	w := testWorkload(t)
+	a := testAlgo(t)
+	leader, err := New(w.Initial(), a, leaderConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Drain()
+	lsrv := httptest.NewServer(leader.Handler())
+	defer lsrv.Close()
+	for _, p := range w.QueryPairsConnected(4) {
+		leader.Pool().Register(core.Query{S: p[0], D: p[1]})
+	}
+	for i := 0; i < 3; i++ {
+		postUpdatesHTTP(t, lsrv.Client(), lsrv.URL, w.NextBatch())
+		waitQuiescedSrv(t, leader)
+	}
+
+	dir := t.TempDir()
+	fcfg := followerConfig(lsrv.URL)
+	fcfg.WALPath = filepath.Join(dir, "fol.wal")
+	fcfg.CheckpointPath = filepath.Join(dir, "fol.ckpt")
+	// Cut almost at once, so a write admitted right after the flip commits
+	// while the promotion's checkpoint may still be in flight.
+	fcfg.BatchMaxWait = 100 * time.Microsecond
+	fol, err := StartFollower(a, fcfg, func() (*graph.Dynamic, error) { return w.Initial(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Drain()
+	waitFollowerAt(t, fol, leader.Applied())
+	before := fol.Applied()
+	fsrv := httptest.NewServer(fol.Handler())
+	defer fsrv.Close()
+
+	// Pre-cut per-writer traces (the workload is not goroutine-safe). Each
+	// writer re-sends its current body until the node accepts it (421 while
+	// still a follower), then moves on to the next.
+	const writers, perWriter = 4, 8
+	bodies := make([][][]byte, writers)
+	for i := range bodies {
+		for j := 0; j < perWriter; j++ {
+			var req updatesRequest
+			for _, u := range w.NextBatch() {
+				op := "add"
+				if u.Del {
+					op = "del"
+				}
+				req.Updates = append(req.Updates, updateJSON{Op: op, From: u.From, To: u.To, W: u.W})
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = append(bodies[i], body)
+		}
+	}
+	var accepted, refused atomic.Int64
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(trace [][]byte) {
+			defer wg.Done()
+			client := fsrv.Client()
+			deadline := time.Now().Add(10 * time.Second)
+			for _, body := range trace {
+				for time.Now().Before(deadline) {
+					resp, err := client.Post(fsrv.URL+"/v1/updates", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusAccepted {
+						accepted.Add(1)
+						break
+					}
+					refused.Add(1)
+				}
+			}
+		}(bodies[i])
+	}
+
+	waitFor(t, 5*time.Second, func() bool { return refused.Load() >= writers }, "writers refused by the follower")
+	epoch, promoted, err := fol.Promote()
+	if err != nil || !promoted {
+		t.Fatalf("Promote: epoch=%d promoted=%v err=%v", epoch, promoted, err)
+	}
+	wg.Wait()
+	if got := accepted.Load(); got != writers*perWriter {
+		t.Fatalf("promoted node accepted %d of %d posts", got, writers*perWriter)
+	}
+	waitQuiescedSrv(t, fol)
+	if fol.Role() != "leader" || fol.Epoch() != epoch || epoch == 0 {
+		t.Fatalf("after promote: role=%q epoch=%d (Promote returned %d)", fol.Role(), fol.Epoch(), epoch)
+	}
+	if fol.Applied() <= before {
+		t.Fatalf("no write committed after promotion (position %d)", fol.Applied())
+	}
+	_, ckptEpoch, _, err := resilience.ReadCheckpointMeta(fcfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckptEpoch != epoch {
+		t.Fatalf("checkpoint stamped epoch %d, want the promoted epoch %d", ckptEpoch, epoch)
 	}
 }

@@ -33,18 +33,26 @@ type pendingAck struct {
 	acks    []BinAck
 }
 
+// Fast-path queue bounds. fastPendingFrames bounds the admission queue, in
+// frames; a full queue blocks binary readers (TCP backpressure).
+// fastPipelineDepth bounds unacked frames per binary connection (the
+// per-connection ack queue).
+const (
+	fastPendingFrames = 1024
+	fastPipelineDepth = 256
+)
+
 // fastPath is the per-update admission pipeline (DESIGN.md §14): binary
-// connections submit frames here, a single commit goroutine gathers whatever
-// is queued into one group and commits it — sanitize → group WAL append
-// (one record per update, one fsync) → apply (safe/unsafe routed inside the
-// shard engines) → publish → ack. The sanitize→WAL→apply order and the
+// connections submit frames here, and the server's committer gathers
+// whatever is queued into one group and commits it — per-update dedup and
+// sanitize → group WAL append (one record per update, one fsync) → the
+// shared commit step → ack. The sanitize→WAL→apply order and the
 // never-apply-un-durable rule are identical to the batch path; the batch
 // window is what's bypassed.
 type fastPath struct {
 	s    *Server
 	ch   chan *fpEntry
-	quit chan struct{}
-	done chan struct{}
+	quit chan struct{} // closed by refuse: no more submissions
 
 	// Sync-ack resolver (nil channels when SyncFollowers == 0).
 	syncCh   chan *pendingAck
@@ -53,28 +61,29 @@ type fastPath struct {
 
 	// pending counts admitted-but-unacked entries; Quiesced needs the fast
 	// path's in-flight work, not just the batcher's.
-	pending  atomic.Int64
-	draining atomic.Bool
-	stopOnce sync.Once
+	pending    atomic.Int64
+	draining   atomic.Bool
+	refuseOnce sync.Once
+	stopOnce   sync.Once
 
 	mu    sync.Mutex
 	lns   map[net.Listener]struct{}
 	conns map[net.Conn]struct{}
 
-	// Commit-goroutine-private scratch, reused across groups.
+	// Committer-private scratch, reused across groups.
 	group  []*fpEntry
 	clean  []graph.Update
 	counts []uint32
 	dups   []uint32
 	wrecs  []resilience.Record
+	acks   []BinAck
 }
 
 func newFastPath(s *Server) *fastPath {
 	f := &fastPath{
 		s:     s,
-		ch:    make(chan *fpEntry, s.cfg.FastPendingFrames),
+		ch:    make(chan *fpEntry, fastPendingFrames),
 		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
 		lns:   make(map[net.Listener]struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -84,7 +93,6 @@ func newFastPath(s *Server) *fastPath {
 		f.syncDone = make(chan struct{})
 		go f.runSyncResolver()
 	}
-	go f.run()
 	return f
 }
 
@@ -107,37 +115,14 @@ func (f *fastPath) submit(e *fpEntry) bool {
 
 func (f *fastPath) quiesced() bool { return f.pending.Load() == 0 }
 
-// run is the commit loop: block for one entry, then gather everything
-// already queued (up to FastGroupMax updates) into the same group commit —
-// group size adapts to load, so a lone update commits immediately while a
-// burst amortizes its fsync across the whole group.
-func (f *fastPath) run() {
-	defer close(f.done)
-	for {
-		var e *fpEntry
-		select {
-		case e = <-f.ch:
-		case <-f.quit:
-			// Drain the remainder; submissions are already refused.
-			for {
-				select {
-				case e := <-f.ch:
-					f.commitGroup(f.gather(e))
-				default:
-					return
-				}
-			}
-		}
-		f.commitGroup(f.gather(e))
-	}
-}
-
-// gather collects e plus whatever else is queued, bounded by FastGroupMax
-// updates, into the reused group slice.
+// gather collects e plus whatever else is queued, bounded by BatchMaxSize
+// updates, into the reused group slice: group size adapts to load, so a lone
+// update commits immediately while a burst amortizes its fsync across the
+// whole group.
 func (f *fastPath) gather(e *fpEntry) []*fpEntry {
 	f.group = append(f.group[:0], e)
 	n := len(e.ups)
-	for n < f.s.cfg.FastGroupMax {
+	for n < f.s.cfg.BatchMaxSize {
 		select {
 		case e2 := <-f.ch:
 			f.group = append(f.group, e2)
@@ -149,11 +134,11 @@ func (f *fastPath) gather(e *fpEntry) []*fpEntry {
 	return f.group
 }
 
-// commitGroup runs one group through the durability pipeline under the
-// commit lock (serializing against the batch path's applyBatch) and
-// resolves every entry's ack. Each accepted update is its own WAL record
-// and stream position — replica tailing and crash replay see exactly the
-// records a sequence of single-update batches would have produced.
+// commitGroup runs one group through the durability pipeline on the
+// committer and resolves every entry's ack. Each accepted update is its own
+// WAL record and stream position — replica tailing and crash replay see
+// exactly the records a sequence of single-update batches would have
+// produced.
 //
 // Exactly-once (DESIGN.md §17): a session-tagged update whose (sid, seq)
 // the dedup table already holds is a client replay of something durable —
@@ -164,8 +149,6 @@ func (f *fastPath) gather(e *fpEntry) []*fpEntry {
 func (f *fastPath) commitGroup(entries []*fpEntry) {
 	s := f.s
 	defer f.pending.Add(-int64(len(entries)))
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
 
 	ackAll := func(status uint32) {
 		pos := s.applied.Load()
@@ -192,8 +175,7 @@ func (f *fastPath) commitGroup(entries []*fpEntry) {
 	// Sanitize per update against the shadow + the group's own net effect,
 	// tracking per-entry accept/duplicate counts for the acks. Session tags
 	// ride along into the WAL records.
-	sh := s.shadow.Load()
-	ss := s.san.Stream(sh)
+	ss := s.san.Stream(s.shadow.Load())
 	clean, counts, dups := f.clean[:0], f.counts[:0], f.dups[:0]
 	recs := f.wrecs[:0]
 	for _, e := range entries {
@@ -237,30 +219,13 @@ func (f *fastPath) commitGroup(entries []*fpEntry) {
 				return
 			}
 		}
-		// Durable: the dedup table may now advance (commit order).
-		for _, rec := range recs {
-			s.dedup.advance(rec.SID, rec.Seq)
-		}
-		sh.Apply(clean)
-		_, changed, perr := s.pool.ApplyUpdates(clean)
-		if perr != nil {
-			s.h.degraded.Inc()
-			s.setLastErr(perr)
-		}
+		// Durable: one commit step, one position per update.
 		before := s.applied.Load()
-		applied := s.applied.Add(uint64(len(clean)))
-		s.publishWatch(applied, changed)
-		s.edges.Store(int64(sh.NumEdges()))
+		applied := s.commit(recs, clean)
 		s.h.accepted.Add(int64(len(clean)))
-		s.h.batches.Add(int64(len(clean))) // each update is one stream position
-		s.h.updates.Add(int64(len(clean)))
 		s.h.fastGroups.Inc()
 		s.h.fastUpdates.Add(int64(len(clean)))
-		if n := uint64(s.cfg.CheckpointEvery); n > 0 && applied/n > before/n {
-			if cerr := s.writeCheckpoint(); cerr != nil {
-				s.setLastErr(cerr)
-			}
-		}
+		s.checkpointOnSchedule(before, applied)
 	}
 
 	// Acks stream back with each entry's cumulative commit position; the
@@ -268,36 +233,31 @@ func (f *fastPath) commitGroup(entries []*fpEntry) {
 	// are visible to /v1/answers readers. Duplicates count as accepted (they
 	// are durable) without advancing the position.
 	pos := s.applied.Load() - uint64(len(clean))
-	if s.cfg.SyncFollowers > 0 && s.wal != nil {
-		// Replication-gated acks: hold them until SyncFollowers followers
-		// prove (via their tail positions) that every record in this commit —
-		// including the originals behind any duplicates — is durable off-box.
-		p := &pendingAck{
-			need:    s.wal.NextIndex(),
-			expires: time.Now().Add(s.cfg.SyncAckTimeout),
-			entries: append([]*fpEntry(nil), entries...),
-			acks:    make([]BinAck, len(entries)),
-		}
-		for i, e := range entries {
-			pos += uint64(counts[i])
-			p.acks[i] = BinAck{
-				Pos:      pos,
-				Accepted: counts[i] + dups[i],
-				Dropped:  uint32(len(e.ups)) - counts[i] - dups[i],
-				Status:   BinStatusOK,
-			}
-		}
-		f.syncCh <- p
-		return
-	}
+	acks := f.acks[:0]
 	for i, e := range entries {
 		pos += uint64(counts[i])
-		e.ack <- BinAck{
+		acks = append(acks, BinAck{
 			Pos:      pos,
 			Accepted: counts[i] + dups[i],
 			Dropped:  uint32(len(e.ups)) - counts[i] - dups[i],
 			Status:   BinStatusOK,
+		})
+	}
+	f.acks = acks
+	if s.cfg.SyncFollowers > 0 && s.wal != nil {
+		// Replication-gated acks: hold them until SyncFollowers followers
+		// prove (via their tail positions) that every record in this commit —
+		// including the originals behind any duplicates — is durable off-box.
+		f.syncCh <- &pendingAck{
+			need:    s.wal.NextIndex(),
+			expires: time.Now().Add(s.cfg.SyncAckTimeout),
+			entries: append([]*fpEntry(nil), entries...),
+			acks:    append([]BinAck(nil), acks...),
 		}
+		return
+	}
+	for i, e := range entries {
+		e.ack <- acks[i]
 	}
 }
 
@@ -355,17 +315,11 @@ func (f *fastPath) runSyncResolver() {
 		case <-s.marks.notify:
 		case <-timer.C:
 		case <-f.syncQuit:
-			// Shutdown: the commit loop has exited, so syncCh receives no
+			// Shutdown: the committer has exited, so syncCh receives no
 			// more sends; degrade everything still gated (clients replay to
 			// the successor; dedup absorbs).
-			for {
-				select {
-				case p := <-f.syncCh:
-					queue = append(queue, p)
-					continue
-				default:
-				}
-				break
+			for len(f.syncCh) > 0 {
+				queue = append(queue, <-f.syncCh)
 			}
 			for _, p := range queue {
 				degrade(p, false)
@@ -375,13 +329,10 @@ func (f *fastPath) runSyncResolver() {
 	}
 }
 
-// shutdown flushes and stops the fast path: refuse new submissions, stop
-// accepting connections, commit everything admitted, release or degrade
-// gated acks, then close the remaining connections (whose writer goroutines
-// are by then unblocked). Idempotent; called from Server.Drain before the
-// batcher drains so the final checkpoint covers fast-path commits.
-func (f *fastPath) shutdown() {
-	f.stopOnce.Do(func() {
+// refuse stops admission: new submissions and connections are refused, and
+// the committer flushes the frames already admitted. Idempotent.
+func (f *fastPath) refuse() {
+	f.refuseOnce.Do(func() {
 		f.draining.Store(true)
 		f.mu.Lock()
 		for ln := range f.lns {
@@ -389,7 +340,15 @@ func (f *fastPath) shutdown() {
 		}
 		f.mu.Unlock()
 		close(f.quit)
-		<-f.done
+	})
+}
+
+// shutdown stops the fast path once the committer has exited: release or
+// degrade gated acks, then close the remaining connections (whose writer
+// goroutines are by then unblocked). Idempotent; Server.Drain calls it after
+// refuse and the committer's flush.
+func (f *fastPath) shutdown() {
+	f.stopOnce.Do(func() {
 		if f.syncQuit != nil {
 			close(f.syncQuit)
 			<-f.syncDone
@@ -466,7 +425,7 @@ func (f *fastPath) handleConn(c net.Conn) {
 		return
 	}
 
-	ackQ := make(chan *fpEntry, s.cfg.FastPipelineDepth)
+	ackQ := make(chan *fpEntry, fastPipelineDepth)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

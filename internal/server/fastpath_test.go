@@ -392,9 +392,10 @@ func TestFastPathDegradedAck(t *testing.T) {
 	}
 }
 
-// TestFastPathConcurrentCommit hammers both write pipelines at once — JSON
+// TestFastPathConcurrentCommit hammers both ingest sources at once — JSON
 // batches and several pipelined binary connections — while readers poll.
-// Run under -race: the commit lock is what keeps the two writers exclusive.
+// Run under -race: the single committer is what keeps their commits
+// exclusive.
 func TestFastPathConcurrentCommit(t *testing.T) {
 	w := testWorkload(t)
 	a := testAlgo(t)

@@ -16,7 +16,7 @@ import (
 // shards, each with its own topology clone, and publishes answers through
 // an immutable snapshot so reads never block on batch application.
 //
-// Write path (single writer — the batcher's applier goroutine): ApplyBatch
+// Write path (single writer — the server's commit step): ApplyBatch
 // fans the sanitized batch out to every shard in parallel; each shard
 // serializes on its own lock, so a concurrent Register only delays the one
 // shard it lands on. The shards report per-batch answer deltas
@@ -257,7 +257,7 @@ func (p *QueryPool) foldDeltasLocked(deltas []core.BatchDelta) []core.ChangedAns
 }
 
 // publishLocked rebuilds and swaps in the answer snapshot from the value
-// table. Callers hold p.mu, which orders publications from the applier and
+// table. Callers hold p.mu, which orders publications from the writer and
 // from Register.
 func (p *QueryPool) publishLocked() {
 	p.snap.Store(&Snapshot{

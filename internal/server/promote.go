@@ -61,10 +61,11 @@ func (s *Server) onPeerEpoch(peer uint64) {
 	}
 }
 
-// demote turns a deposed leader into a write-refusing follower. The write
-// pipelines observe the flag under the commit lock (applyBatch, commitGroup),
-// so nothing commits after the flip. Locating the new leader — to populate
-// 421 Locations — happens asynchronously; until then writes are refused with
+// demote turns a deposed leader into a write-refusing follower. The
+// committer checks the flag before every JSON cut and binary group
+// (commitCut, commitGroup), so no commit starts after the flip; one already
+// past the check finishes. Locating the new leader — to populate 421
+// Locations — happens asynchronously; until then writes are refused with
 // "leader unknown".
 func (s *Server) demote(peerEpoch uint64) {
 	s.promoteMu.Lock()
@@ -86,8 +87,9 @@ func (s *Server) demote(peerEpoch uint64) {
 // Promote turns this follower into the leader: stop tailing (sealing the
 // local WAL at its durable prefix — the tail goroutine was its only writer),
 // bump the epoch past everything this node has ever observed, reopen the WAL
-// under the new epoch, and start accepting writes. Idempotent: promoting a
-// leader reports promoted=false. Returns the node's (possibly new) epoch.
+// under the new epoch, checkpoint, and only then start accepting writes.
+// Idempotent: promoting a leader reports promoted=false. Returns the node's
+// (possibly new) epoch.
 func (s *Server) Promote() (uint64, bool, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -115,16 +117,18 @@ func (s *Server) Promote() (uint64, bool, error) {
 		return s.epoch.Load(), false, fmt.Errorf("server: promote: %w", err)
 	}
 	s.epoch.Store(epoch)
+	// Persist the new epoch before the role flips: a crash right after
+	// promotion must come back fenced at (at least) this epoch, and while
+	// the node is still a follower no writer runs, so the checkpoint reads
+	// a stable shadow. Best-effort — the WAL segment header already carries
+	// the epoch.
+	if err := s.writeCheckpoint(); err != nil {
+		s.setLastErr(err)
+	}
 	s.followerFlag.Store(false)
 	s.setLeader("")
 	s.replConnected.Store(false)
 	s.h.promotions.Inc()
-	// Persist the new epoch immediately: a crash right after promotion must
-	// come back fenced at (at least) this epoch. Best-effort — the WAL
-	// segment header already carries it.
-	if err := s.writeCheckpoint(); err != nil {
-		s.setLastErr(err)
-	}
 	return epoch, true, nil
 }
 

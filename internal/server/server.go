@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -109,15 +110,16 @@ const (
 // Server is the cisgraphd serving core: it owns the shadow topology, the
 // ingestion pipeline and the query pool, and exposes them over HTTP.
 //
-// Concurrency model (single-writer/many-reader): the commit lock admits
-// exactly one writer of the shadow topology and the shard engines at a time
-// — the batcher's applier goroutine (JSON/batch path) and the fast path's
-// commit goroutine (binary/per-update path, DESIGN.md §14) take turns on
-// it; on a follower the tail goroutine is the sole writer. HTTP readers
-// consume the pool's atomic answer snapshot and the server's atomic gauges,
-// so GET paths never contend with commit work. Query registration is the
-// one cross-cutting write; it serializes against the writers per shard,
-// between commits.
+// Concurrency model (single-writer/many-reader): exactly one goroutine
+// mutates the shadow topology, the shard engines, the WAL and the stream
+// position, and every mutation goes through one commit step (commit.go). On
+// a leader that writer is the committer, which takes JSON cuts from the
+// batcher and binary frames from the fast path (DESIGN.md §14); on a
+// follower it is the replication tail goroutine; before serving, Restore's
+// WAL replay. HTTP readers consume the pool's atomic answer snapshot and the
+// server's atomic gauges, so GET paths never contend with commit work. Query
+// registration is the one cross-cutting write; it serializes against the
+// writer per shard, between commits.
 type Server struct {
 	cfg  Config
 	a    algo.Algorithm
@@ -129,20 +131,18 @@ type Server struct {
 	brk  *diskBreaker
 	gate inflightGate
 
-	// commitMu serializes the two write pipelines (batch applier and
-	// fast-path commit loop) over the shadow + pool + WAL + position.
-	commitMu sync.Mutex
+	// committed is closed when the committer goroutine exits (Drain).
+	committed chan struct{}
 
 	// shadow is the authoritative topology. It is mutated only by the
-	// single writer (the batcher's applier goroutine on a leader, the tail
-	// goroutine on a follower); the pointer itself is atomic because a
-	// follower re-bootstrap swaps in a whole new topology while HTTP
-	// readers are live.
+	// single writer (the committer on a leader, the tail goroutine on a
+	// follower); the pointer itself is atomic because a follower
+	// re-bootstrap swaps in a whole new topology while HTTP readers are live.
 	shadow atomic.Pointer[graph.Dynamic]
 
 	// applyLat records engine-side apply latency per batch-size class
-	// (applylat.go); every write pipeline (batcher, WAL replay, follower
-	// tail) feeds it and /healthz reports the percentiles.
+	// (applylat.go); the commit step feeds it for every source and /healthz
+	// reports the percentiles.
 	applyLat applyLatRecorder
 
 	cnt *stats.Counters
@@ -159,12 +159,12 @@ type Server struct {
 	// leader via Promote, and a deposed leader demotes when a peer proves a
 	// higher epoch — so it lives in atomics, not in cfg.
 	epoch        atomic.Uint64
-	followerFlag atomic.Bool             // true while following (refusing writes)
-	curLeader    atomic.Pointer[string]  // current leader base URL ("" when unknown / self)
-	maxPeerEpoch atomic.Uint64           // highest epoch any peer has advertised
-	promoteMu    sync.Mutex              // serializes Promote/demote transitions
-	dedup        *dedupTable             // exactly-once ingest session table
-	marks        *followerMarks          // follower tail positions (sync acks)
+	followerFlag atomic.Bool            // true while following (refusing writes)
+	curLeader    atomic.Pointer[string] // current leader base URL ("" when unknown / self)
+	maxPeerEpoch atomic.Uint64          // highest epoch any peer has advertised
+	promoteMu    sync.Mutex             // serializes Promote/demote transitions
+	dedup        *dedupTable            // exactly-once ingest session table
+	marks        *followerMarks         // follower tail positions (sync acks)
 
 	// Replication (DESIGN.md §13). Leader side: src serves the WAL.
 	// Follower side: tail streams the leader's WAL into the apply path;
@@ -207,7 +207,7 @@ type ansCacheEntry struct {
 type srvHandles struct {
 	accepted, shed, rejected    stats.Handle
 	batches, updates            stats.Handle
-	cutSize, cutTimer, cutDrain stats.Handle
+	cuts                        [3]stats.Handle // by CutReason
 	registered, degraded, ckpts stats.Handle
 	inflightShed, timeouts      stats.Handle
 	bodyTooLarge                stats.Handle
@@ -303,22 +303,13 @@ func Restore(a algo.Algorithm, cfg Config, init func() (*graph.Dynamic, error)) 
 	// The exactly-once session table rebuilds exactly as it was: checkpoint
 	// sessions first, then the replayed records' session tags in log order.
 	s.dedup.load(sessions)
-	// WAL-replayed batches were already sanitized by the pre-crash run;
-	// they go straight through the shadow and the pool.
-	sh := s.shadow.Load()
-	for _, rec := range replay {
-		sh.Apply(rec.Batch)
-		// Replay precedes serving — no watch subscriber can exist yet, so
-		// the changed set is discarded.
-		tEng := time.Now()
-		if _, perr := s.pool.ApplyBatch(rec.Batch); perr != nil {
-			s.setLastErr(perr)
-		}
-		s.applyLat.record(len(rec.Batch), time.Since(tEng))
-		s.applied.Add(1)
-		s.dedup.advance(rec.SID, rec.Seq)
+	// WAL-replayed records were already sanitized and made durable by the
+	// pre-crash run: they skip the WAL and go straight through the commit
+	// step, one position each, without checkpointing. Replay precedes
+	// serving, so no watch subscriber sees it.
+	for i := range replay {
+		s.commit(replay[i:i+1], replay[i].Batch)
 	}
-	s.edges.Store(int64(sh.NumEdges()))
 	return s, nil
 }
 
@@ -353,9 +344,7 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 			rejected:           cnt.Handle(CntPostsRejected),
 			batches:            cnt.Handle(CntBatchesApplied),
 			updates:            cnt.Handle(CntUpdatesApplied),
-			cutSize:            cnt.Handle(CntCutSize),
-			cutTimer:           cnt.Handle(CntCutTimer),
-			cutDrain:           cnt.Handle(CntCutDrain),
+			cuts:               [3]stats.Handle{cnt.Handle(CntCutSize), cnt.Handle(CntCutTimer), cnt.Handle(CntCutDrain)},
 			registered:         cnt.Handle(CntQueriesRegistered),
 			degraded:           cnt.Handle(CntBatchDegraded),
 			ckpts:              cnt.Handle(CntCheckpoints),
@@ -424,8 +413,10 @@ func build(g *graph.Dynamic, a algo.Algorithm, queries []core.Query, through uin
 		}
 	}
 	s.brk = newDiskBreaker(s.probeDisk, cfg.DiskRetryBase, cfg.DiskRetryMax)
-	s.bat = NewBatcher(cfg.BatchMaxSize, cfg.BatchMaxWait, cfg.QueueCapacity, cfg.OnFull, s.applyBatch)
+	s.bat = NewBatcher(cfg.BatchMaxSize, cfg.BatchMaxWait, cfg.QueueCapacity, cfg.OnFull)
 	s.fp = newFastPath(s)
+	s.committed = make(chan struct{})
+	go s.runCommitter()
 	s.routes()
 	return s, nil
 }
@@ -458,78 +449,6 @@ func (s *Server) probeDisk() error {
 		return err
 	}
 	return s.cfg.FS.Remove(p)
-}
-
-// applyBatch is the batch-path pipeline stage: sanitize against the shadow,
-// append to the WAL, mutate the shadow, fan out to the pool, and checkpoint
-// on schedule. It runs on the batcher's applier goroutine, holding the
-// commit lock against the fast path's commit loop.
-func (s *Server) applyBatch(batch []graph.Update, reason CutReason) {
-	switch reason {
-	case CutSize:
-		s.h.cutSize.Inc()
-	case CutTimer:
-		s.h.cutTimer.Inc()
-	case CutDrain:
-		s.h.cutDrain.Inc()
-	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	// A node deposed while this batch sat in the queue must not commit it:
-	// followers take writes only from the replication tail.
-	if s.isFollower() {
-		s.h.dropBatches.Inc()
-		s.h.dropUpdates.Add(int64(len(batch)))
-		return
-	}
-	sh := s.shadow.Load()
-	clean, _, err := s.san.Sanitize(sh, batch)
-	if err != nil {
-		// Reject/strict policy refused the whole batch: nothing reaches the
-		// engines; the rejection is visible via metrics and lastError.
-		s.setLastErr(err)
-		return
-	}
-	if len(clean) == 0 {
-		return
-	}
-	// Degraded mode (DESIGN.md §12.2): a batch that cannot be made durable
-	// is never applied. Applying it would desynchronize the served answers
-	// from the durable prefix — after a crash, recovery would replay less
-	// than was served. The batch is dropped (counted), the breaker opens,
-	// and /v1/updates rejects with 503 until a background probe heals.
-	if s.brk.Open() {
-		s.h.dropBatches.Inc()
-		s.h.dropUpdates.Add(int64(len(clean)))
-		return
-	}
-	if s.wal != nil {
-		if _, werr := s.wal.Append(clean); werr != nil {
-			s.brk.Trip(werr)
-			s.setLastErr(fmt.Errorf("server: wal append failed (batch dropped, degraded): %w", werr))
-			s.h.dropBatches.Inc()
-			s.h.dropUpdates.Add(int64(len(clean)))
-			return
-		}
-	}
-	sh.Apply(clean)
-	tEng := time.Now()
-	changed, perr := s.pool.ApplyBatch(clean)
-	s.applyLat.record(len(clean), time.Since(tEng))
-	if perr != nil {
-		s.h.degraded.Inc()
-		s.setLastErr(perr)
-	}
-	applied := s.applied.Add(1)
-	s.publishWatch(applied, changed)
-	s.edges.Store(int64(sh.NumEdges()))
-	s.h.batches.Inc()
-	s.h.updates.Add(int64(len(clean)))
-	if s.cfg.CheckpointEvery > 0 && applied%uint64(s.cfg.CheckpointEvery) == 0 {
-		if cerr := s.writeCheckpoint(); cerr != nil {
-			s.setLastErr(cerr)
-		}
-	}
 }
 
 // writeCheckpoint persists the shadow topology + query set + exactly-once
@@ -576,14 +495,17 @@ func (s *Server) Drain() error {
 		s.tailStop()
 		<-s.tailDone
 	}
-	// Flush the fast path first (it refuses new frames, commits what was
-	// admitted, then closes its connections) so the final checkpoint covers
-	// both write pipelines.
-	s.fp.shutdown()
+	// Stop both ingest sources, then let the committer flush what they
+	// admitted — the batcher's remaining window and every queued frame — so
+	// the final checkpoint covers both. Only then are gated acks resolved
+	// and binary connections closed.
+	s.fp.refuse()
 	s.bat.Drain()
-	// Both write pipelines are flushed — every commit has been published to
-	// the hub. Closing it ends each /v1/watch stream after its queued
-	// deltas drain, so subscribers observe the complete stream.
+	<-s.committed
+	s.fp.shutdown()
+	// Every commit has been published to the hub. Closing it ends each
+	// /v1/watch stream after its queued deltas drain, so subscribers
+	// observe the complete stream.
 	s.hub.Close()
 	s.brk.Stop() // no more disk probes; a closed WAL must stay closed
 	var err error
@@ -1141,96 +1063,61 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP cisgraph_counter Cumulative event counters (server + merged engines).\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_counter counter\n")
+	writeMetricHead(w, "cisgraph_counter", "counter", "Cumulative event counters (server + merged engines).")
 	writeCounterFamily(w, "server", s.cnt.Snapshot())
 	writeCounterFamily(w, "engine", s.pool.Counters().Snapshot())
-	fmt.Fprintf(w, "# HELP cisgraph_ingest_pending Updates queued but not yet applied.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_ingest_pending gauge\n")
-	fmt.Fprintf(w, "cisgraph_ingest_pending %d\n", s.bat.Pending())
-	fmt.Fprintf(w, "# HELP cisgraph_batches_applied Sanitized batches applied since stream start.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_batches_applied counter\n")
-	fmt.Fprintf(w, "cisgraph_batches_applied %d\n", s.applied.Load())
-	fmt.Fprintf(w, "# HELP cisgraph_edges Current edge count of the authoritative topology.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_edges gauge\n")
-	fmt.Fprintf(w, "cisgraph_edges %d\n", s.edges.Load())
-	fmt.Fprintf(w, "# HELP cisgraph_queries Registered pairwise queries.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_queries gauge\n")
-	fmt.Fprintf(w, "cisgraph_queries %d\n", s.pool.NumQueries())
-	fmt.Fprintf(w, "# HELP cisgraph_state_bytes Resident per-query state across all shards (store payloads plus shared baselines).\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_state_bytes gauge\n")
+	writeMetric(w, "cisgraph_ingest_pending", "gauge", "Updates queued but not yet applied.", s.bat.Pending())
+	writeMetric(w, "cisgraph_batches_applied", "counter", "Sanitized batches applied since stream start.", s.applied.Load())
+	writeMetric(w, "cisgraph_edges", "gauge", "Current edge count of the authoritative topology.", s.edges.Load())
+	writeMetric(w, "cisgraph_queries", "gauge", "Registered pairwise queries.", s.pool.NumQueries())
+	writeMetricHead(w, "cisgraph_state_bytes", "gauge", "Resident per-query state across all shards (store payloads plus shared baselines).")
 	fmt.Fprintf(w, "cisgraph_state_bytes{store=%q} %d\n", s.pool.Store(), s.pool.StateBytes())
 	if s.wal != nil {
-		fmt.Fprintf(w, "# HELP cisgraph_wal_segments Live WAL segment files (sealed + active).\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_wal_segments gauge\n")
-		fmt.Fprintf(w, "cisgraph_wal_segments %d\n", s.wal.Segments())
-		fmt.Fprintf(w, "# HELP cisgraph_wal_bytes Total bytes across live WAL segments.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_wal_bytes gauge\n")
-		fmt.Fprintf(w, "cisgraph_wal_bytes %d\n", s.wal.Bytes())
+		writeMetric(w, "cisgraph_wal_segments", "gauge", "Live WAL segment files (sealed + active).", s.wal.Segments())
+		writeMetric(w, "cisgraph_wal_bytes", "gauge", "Total bytes across live WAL segments.", s.wal.Bytes())
 	}
-	fmt.Fprintf(w, "# HELP cisgraph_watch_subscribers Active /v1/watch subscriptions.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_subscribers gauge\n")
-	fmt.Fprintf(w, "cisgraph_watch_subscribers %d\n", s.hub.Subscribers())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_deltas Delta messages enqueued to watch subscribers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_deltas counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_deltas %d\n", s.hub.Delivered())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_drops Watch messages dropped on slow consumers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_drops counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_drops %d\n", s.hub.Dropped())
-	fmt.Fprintf(w, "# HELP cisgraph_watch_resyncs Resync markers enqueued to watch subscribers.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_watch_resyncs counter\n")
-	fmt.Fprintf(w, "cisgraph_watch_resyncs %d\n", s.hub.Resynced())
-	fmt.Fprintf(w, "# HELP cisgraph_role 1 for the node's replication role.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_role gauge\n")
+	writeMetric(w, "cisgraph_watch_subscribers", "gauge", "Active /v1/watch subscriptions.", s.hub.Subscribers())
+	writeMetric(w, "cisgraph_watch_deltas", "counter", "Delta messages enqueued to watch subscribers.", s.hub.Delivered())
+	writeMetric(w, "cisgraph_watch_drops", "counter", "Watch messages dropped on slow consumers.", s.hub.Dropped())
+	writeMetric(w, "cisgraph_watch_resyncs", "counter", "Resync markers enqueued to watch subscribers.", s.hub.Resynced())
+	writeMetricHead(w, "cisgraph_role", "gauge", "1 for the node's replication role.")
 	fmt.Fprintf(w, "cisgraph_role{role=%q} 1\n", s.Role())
-	fmt.Fprintf(w, "# HELP cisgraph_epoch Leadership epoch (fencing token); bumped by every promotion.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_epoch gauge\n")
-	fmt.Fprintf(w, "cisgraph_epoch %d\n", s.Epoch())
-	fmt.Fprintf(w, "# HELP cisgraph_dedup_sessions Live exactly-once ingest sessions in the dedup table.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_dedup_sessions gauge\n")
-	fmt.Fprintf(w, "cisgraph_dedup_sessions %d\n", s.dedup.size())
+	writeMetric(w, "cisgraph_epoch", "gauge", "Leadership epoch (fencing token); bumped by every promotion.", s.Epoch())
+	writeMetric(w, "cisgraph_dedup_sessions", "gauge", "Live exactly-once ingest sessions in the dedup table.", s.dedup.size())
 	if s.isFollower() {
 		connected := 0
 		if s.replConnected.Load() {
 			connected = 1
 		}
-		fmt.Fprintf(w, "# HELP cisgraph_repl_lag_batches Leader batches not yet applied by this follower.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_lag_batches gauge\n")
-		fmt.Fprintf(w, "cisgraph_repl_lag_batches %d\n", s.ReplLagBatches())
-		fmt.Fprintf(w, "# HELP cisgraph_repl_staleness_seconds Time since this follower last confirmed it was caught up.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_staleness_seconds gauge\n")
+		writeMetric(w, "cisgraph_repl_lag_batches", "gauge", "Leader batches not yet applied by this follower.", s.ReplLagBatches())
+		writeMetricHead(w, "cisgraph_repl_staleness_seconds", "gauge", "Time since this follower last confirmed it was caught up.")
 		fmt.Fprintf(w, "cisgraph_repl_staleness_seconds %.3f\n", s.Staleness().Seconds())
-		fmt.Fprintf(w, "# HELP cisgraph_repl_connected 1 while the WAL tail connection to the leader is healthy.\n")
-		fmt.Fprintf(w, "# TYPE cisgraph_repl_connected gauge\n")
-		fmt.Fprintf(w, "cisgraph_repl_connected %d\n", connected)
+		writeMetric(w, "cisgraph_repl_connected", "gauge", "1 while the WAL tail connection to the leader is healthy.", connected)
 		if s.tail != nil {
-			fmt.Fprintf(w, "# HELP cisgraph_repl_reconnects Tail reconnect attempts after transport failures.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_reconnects counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_reconnects %d\n", s.tail.Reconnects.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_rebootstraps Checkpoint re-bootstraps forced by retention races or leader resets.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_rebootstraps counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_rebootstraps %d\n", s.tail.Rebootstraps.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_records WAL records applied from the leader.\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_records counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_records %d\n", s.tail.Records.Load())
-			fmt.Fprintf(w, "# HELP cisgraph_repl_repoints Leader-URL changes (421 handoffs and watchdog discoveries).\n")
-			fmt.Fprintf(w, "# TYPE cisgraph_repl_repoints counter\n")
-			fmt.Fprintf(w, "cisgraph_repl_repoints %d\n", s.tail.Repoints.Load())
+			writeMetric(w, "cisgraph_repl_reconnects", "counter", "Tail reconnect attempts after transport failures.", s.tail.Reconnects.Load())
+			writeMetric(w, "cisgraph_repl_rebootstraps", "counter", "Checkpoint re-bootstraps forced by retention races or leader resets.", s.tail.Rebootstraps.Load())
+			writeMetric(w, "cisgraph_repl_records", "counter", "WAL records applied from the leader.", s.tail.Records.Load())
+			writeMetric(w, "cisgraph_repl_repoints", "counter", "Leader-URL changes (421 handoffs and watchdog discoveries).", s.tail.Repoints.Load())
 		}
 	}
 	degraded := 0
 	if s.brk.Open() || s.replDegraded() {
 		degraded = 1
 	}
-	fmt.Fprintf(w, "# HELP cisgraph_degraded 1 while the disk breaker is open (durable writes failing) or replication staleness exceeds its budget.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_degraded gauge\n")
-	fmt.Fprintf(w, "cisgraph_degraded %d\n", degraded)
-	fmt.Fprintf(w, "# HELP cisgraph_disk_breaker_trips Times the disk breaker opened.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_disk_breaker_trips counter\n")
-	fmt.Fprintf(w, "cisgraph_disk_breaker_trips %d\n", s.brk.Trips())
-	fmt.Fprintf(w, "# HELP cisgraph_disk_breaker_probes Disk probes attempted while degraded.\n")
-	fmt.Fprintf(w, "# TYPE cisgraph_disk_breaker_probes counter\n")
-	fmt.Fprintf(w, "cisgraph_disk_breaker_probes %d\n", s.brk.Probes())
+	writeMetric(w, "cisgraph_degraded", "gauge", "1 while the disk breaker is open (durable writes failing) or replication staleness exceeds its budget.", degraded)
+	writeMetric(w, "cisgraph_disk_breaker_trips", "counter", "Times the disk breaker opened.", s.brk.Trips())
+	writeMetric(w, "cisgraph_disk_breaker_probes", "counter", "Disk probes attempted while degraded.", s.brk.Probes())
+}
+
+// writeMetricHead writes a metric family's HELP and TYPE lines.
+func writeMetricHead(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writeMetric writes a single-sample, unlabelled integer metric family.
+func writeMetric(w io.Writer, name, typ, help string, v any) {
+	writeMetricHead(w, name, typ, help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
 func writeCounterFamily(w http.ResponseWriter, layer string, snap map[string]int64) {

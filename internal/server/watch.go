@@ -164,6 +164,10 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, sub *watch.Sub
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// The stream is open-ended: lift the http.Server's WriteTimeout, which
+	// would otherwise end it mid-stream. Best-effort — a writer without
+	// deadline support has none to lift.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -224,6 +228,10 @@ func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, sub *watch.Su
 			wait = min(d, time.Minute)
 		}
 	}
+	// The park may outlast the http.Server's WriteTimeout: extend the write
+	// deadline past it so the envelope still reaches the client (best-effort,
+	// as in watchSSE).
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(wait + watchPollMargin))
 	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
@@ -240,6 +248,10 @@ func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, sub *watch.Su
 		writeJSON(w, http.StatusOK, sseBody(m))
 	}
 }
+
+// watchPollMargin is the write-deadline slack past a long-poll's wait: time
+// to encode and send the envelope.
+const watchPollMargin = 5 * time.Second
 
 func sseType(m watch.Msg) string {
 	if m.Resync {

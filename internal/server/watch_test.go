@@ -312,8 +312,8 @@ func TestServerChangeSkipDifferentialHTTP(t *testing.T) {
 		}
 	}
 	for i, c := range chunks {
-		skipSrv.applyBatch(c, CutSize)
-		fullSrv.applyBatch(c, CutSize)
+		skipSrv.commitCut(c, CutSize)
+		fullSrv.commitCut(c, CutSize)
 		sb, fb := readBody(skipTS), readBody(fullTS)
 		if !bytes.Equal(sb, fb) {
 			t.Fatalf("chunk %d: /v1/answers bodies diverged\nskip: %s\nfull: %s", i, sb, fb)
@@ -496,5 +496,48 @@ func TestAnswersBodyCache(t *testing.T) {
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An http.Server WriteTimeout must not end /v1/watch: the SSE stream lifts
+// the deadline, so a delta committed well after the timeout still arrives,
+// and a long-poll parked past the timeout still gets its envelope.
+func TestWatchOutlivesWriteTimeout(t *testing.T) {
+	g := graph.NewDynamic(8)
+	g.Apply([]graph.Update{graph.Add(0, 1, 5), graph.Add(1, 2, 5)})
+	srv, err := New(g, testAlgo(t), testServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.WriteTimeout = 300 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+	client := ts.Client()
+	if resp, body := postJSON(t, client, ts.URL+"/v1/query", queryRequest{S: 0, D: 2}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register query: status %d: %s", resp.StatusCode, body)
+	}
+
+	events, cancel := openWatch(t, client, ts.URL+"/v1/watch")
+	defer cancel()
+	if ev, ok := nextEvent(events, 5*time.Second); !ok || ev.typ != "init" {
+		t.Fatalf("first event %+v ok=%v, want init", ev, ok)
+	}
+	time.Sleep(time.Second)
+	// A direct edge improves Q(0->2) from 10 to 1.
+	postUpdatesHTTP(t, client, ts.URL, []graph.Update{graph.Add(0, 2, 1)})
+	ev, ok := nextEvent(events, 5*time.Second)
+	if !ok || ev.typ != "delta" {
+		t.Fatalf("after the write timeout: event %+v ok=%v, want a delta", ev, ok)
+	}
+	if len(ev.body.Changed) != 1 || ev.body.Changed[0].Value != 1 {
+		t.Fatalf("delta %+v, want Q0 -> 1", ev.body)
+	}
+
+	var env watchEventJSON
+	getJSON(t, client, ts.URL+"/v1/watch?mode=poll&wait=1s", &env)
+	if env.Pos != srv.Applied() {
+		t.Fatalf("long-poll envelope pos %d, want %d", env.Pos, srv.Applied())
 	}
 }
